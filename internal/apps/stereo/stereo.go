@@ -343,6 +343,16 @@ func diffStage(p *fx.Proc, vol *dist.Array[float64], cfg Config, set int) {
 	p.Compute(float64(cfg.Disparities*localRows*w) * DiffFlops * 2)
 }
 
+// StageFits reports whether the error stage can run with its image rows
+// BLOCK-distributed over q processors. Each rank holds b = ceil(H/q) rows,
+// and the vertical window pass exchanges Window halo rows with its
+// neighbours, so when more than one rank holds rows (b < H) every interior
+// rank needs b >= Window; errorStage panics otherwise.
+func StageFits(cfg Config, q int) bool {
+	b := (cfg.H + q - 1) / q
+	return b >= cfg.Window || b >= cfg.H
+}
+
 // errorStage replaces each difference value with the sum over a
 // (2w+1)x(2w+1) window, using separable passes; the vertical pass exchanges
 // halo rows with neighbouring processors of the stage subgroup.

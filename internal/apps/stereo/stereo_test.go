@@ -136,3 +136,25 @@ func TestModelOptimizeFeasible(t *testing.T) {
 		t.Errorf("completed %d sets", res.Stream.Sets)
 	}
 }
+
+// TestStageFitsMatchesErrorStage: StageFits states exactly the rule the
+// error stage enforces: run in isolation on q processors, the stage panics
+// if and only if StageFits(cfg, q) is false.
+func TestStageFitsMatchesErrorStage(t *testing.T) {
+	for _, cfg := range []Config{
+		{W: 8, H: 24, Disparities: 2, Window: 2, Sets: 1},
+		{W: 8, H: 10, Disparities: 2, Window: 3, Sets: 1},
+	} {
+		for q := 1; q <= cfg.H; q++ {
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				measureStage(sim.Paragon(), cfg, 1, q, nil)
+				return false
+			}()
+			if fits := StageFits(cfg, q); fits == panicked {
+				t.Errorf("H=%d Window=%d q=%d: StageFits = %v, error stage panicked = %v",
+					cfg.H, cfg.Window, q, fits, panicked)
+			}
+		}
+	}
+}

@@ -78,14 +78,6 @@ func (a *Array[T]) ownedOffset(idx []int) int {
 	return a.l.localOffset(idx, a.localShape)
 }
 
-// GlobalOfLocal converts a local row-major offset to its global index.
-func (a *Array[T]) GlobalOfLocal(offset int) []int {
-	if a.rank < 0 {
-		panic("dist: GlobalOfLocal on non-member")
-	}
-	return a.l.GlobalOfLocal(a.rank, offset)
-}
-
 // FillFunc sets every locally owned element to f(globalIndex). Members only;
 // non-members return immediately. The index slice passed to f is reused
 // across calls.
@@ -99,25 +91,10 @@ func (a *Array[T]) FillFunc(f func(idx []int) T) {
 }
 
 // eachLocal visits every local element in row-major local order with its
-// global index.
+// global index (reused between calls). Non-members visit nothing.
 func (a *Array[T]) eachLocal(visit func(off int, idx []int)) {
-	nd := len(a.localShape)
-	li := make([]int, nd)
-	gi := make([]int, nd)
-	c := a.l.coordsOfRank(a.rank)
-	total := len(a.data)
-	for off := 0; off < total; off++ {
-		for d := 0; d < nd; d++ {
-			gi[d] = a.l.dims[d].globalOf(c[d], li[d])
-		}
-		visit(off, gi)
-		for d := nd - 1; d >= 0; d-- {
-			li[d]++
-			if li[d] < a.localShape[d] {
-				break
-			}
-			li[d] = 0
-		}
+	if a.rank >= 0 {
+		a.l.eachIndex(a.rank, visit)
 	}
 }
 
@@ -146,6 +123,5 @@ func (a *Array[T]) NumLocalRows() int {
 // GlobalRowOfLocal returns the global row index of local row r (rank-2,
 // first dimension distributed).
 func (a *Array[T]) GlobalRowOfLocal(r int) int {
-	c := a.l.coordsOfRank(a.rank)
-	return a.l.dims[0].globalOf(c[0], r)
+	return a.l.dims[0].globalOf(a.l.coord(a.rank, 0), r)
 }

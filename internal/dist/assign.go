@@ -42,10 +42,15 @@ func Transpose2D[T any](p *machine.Proc, dst, src *Array[T]) {
 // elements in destination global row-major order. The receiver's local
 // row-major order is exactly that order restricted to its owned set
 // (local-to-global maps are strictly increasing per dimension); the sender
-// iterates its source dimensions in the order perm[0], perm[1], ..., which
+// walks its source dimensions in the order perm[0], perm[1], ..., which
 // enumerates its owned source set in the same destination order. Restricted
 // to one (sender, receiver) pair both sequences are the same set in the same
 // order, so per-pair FIFO delivery needs no element indices on the wire.
+//
+// Both sides walk their own elements as affine runs (eachRun) cut where the
+// owner on the other side changes, once to count per peer and once to move
+// data: a sender fills exactly-sized buckets, a receiver places each
+// sender's values through a cursor into that stream.
 func remapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
 	if src.l.Rank() != dst.l.Rank() || len(perm) != dst.l.Rank() {
 		panic(fmt.Sprintf("dist: remap rank mismatch: src %v dst %v perm %v", src.l, dst.l, perm))
@@ -62,126 +67,145 @@ func remapPerm[T any](p *machine.Proc, dst, src *Array[T], perm []int) {
 	}
 
 	elemBytes := comm.ElemBytes[T]()
-	myID := p.ID()
+	nd := dst.l.Rank()
+	last := nd - 1
 
 	if isSender {
-		// Enumerate my source elements in destination row-major order and
-		// bucket values per destination rank.
-		nd := src.l.Rank()
-		srcCoords := src.l.coordsOfRank(src.rank)
-		// Iterate src dims in order perm[0] (outermost) .. perm[nd-1].
-		counters := make([]int, nd)  // counter for src dim perm[d]
-		srcLocal := make([]int, nd)  // local index per src dim
-		srcGlobal := make([]int, nd) // global index per src dim
-		dstGlobal := make([]int, nd)
-		// Local extent per iterated position.
-		extents := make([]int, nd)
-		for d := 0; d < nd; d++ {
-			extents[d] = src.localShape[perm[d]]
+		// Walk my source elements in destination row-major order, cutting
+		// each run where its destination owner changes.
+		dstIdx := make([]int, nd)
+		dl := dst.l.dims[last]
+		walk := func(emit func(r, off, ostride, n int)) {
+			src.l.eachRun(src.rank, perm, func(idx []int, off, ostride, step, n int) {
+				for d := range dstIdx {
+					dstIdx[d] = idx[perm[d]]
+				}
+				for n > 0 {
+					k, _ := dl.span(dstIdx[last], step, n)
+					emit(dst.l.owner(dstIdx), off, ostride, k)
+					dstIdx[last] += k * step
+					off += k * ostride
+					n -= k
+				}
+			})
 		}
-		total := 1
-		for _, e := range extents {
-			total *= e
-		}
-		buckets := make(map[int][]T)
-		if total > 0 && len(src.data) > 0 {
-			for it := 0; it < total; it++ {
-				for d := 0; d < nd; d++ {
-					sd := perm[d]
-					srcLocal[sd] = counters[d]
-					srcGlobal[sd] = src.l.dims[sd].globalOf(srcCoords[sd], counters[d])
-					dstGlobal[d] = srcGlobal[sd]
-				}
-				dstRank := dst.l.OwnerRank(dstGlobal...)
-				if dst.l.g.Phys(dstRank) != myID {
-					// Local source offset in natural src row-major order.
-					off := 0
-					for sd := 0; sd < nd; sd++ {
-						off = off*src.localShape[sd] + srcLocal[sd]
-					}
-					buckets[dstRank] = append(buckets[dstRank], src.data[off])
-				}
-				for d := nd - 1; d >= 0; d-- {
-					counters[d]++
-					if counters[d] < extents[d] {
-						break
-					}
-					counters[d] = 0
-				}
+		counts := make([]int, dst.l.g.Size())
+		walk(func(r, _, _, n int) { counts[r] += n })
+		bufs := make([][]T, len(counts))
+		for r, c := range counts {
+			if c > 0 && r != dst.rank {
+				bufs[r] = make([]T, 0, c)
 			}
 		}
+		walk(func(r, off, ostride, n int) {
+			if r == dst.rank {
+				return // the receiver pass below copies locally
+			}
+			bufs[r] = appendStrided(bufs[r], src.data, off, ostride, n)
+		})
 		// Send non-empty buckets in destination-rank order (determinism).
-		for r := 0; r < dst.l.g.Size(); r++ {
-			if vals := buckets[r]; len(vals) > 0 {
-				p.Send(dst.l.g.Phys(r), vals, len(vals)*elemBytes)
+		for r, vals := range bufs {
+			if len(vals) > 0 {
+				sendSlice(p, dst.l.g.Phys(r), &bufs[r], len(vals)*elemBytes)
 			}
 		}
 	}
 
 	if isReceiver {
-		// Enumerate my destination elements in local row-major order (=
-		// destination global row-major restricted to my set); resolve each
-		// from local source storage or from the per-sender streams.
-		nd := dst.l.Rank()
-		srcGlobal := make([]int, nd)
-		type pending struct {
-			offsets []int
+		// Walk my destination elements in local row-major order, cutting
+		// each run where its source owner changes; resolve runs I own on the
+		// source side by a local copy and the rest from the senders' streams.
+		srcIdx := make([]int, nd)
+		pl := perm[last]
+		sl := src.l.dims[pl]
+		var slocal []int // local row-major strides of my source part
+		if isSender {
+			slocal = rowMajorStrides(src.localShape)
 		}
-		want := make(map[int]*pending) // src rank -> dst local offsets in order
-		var srcOrder []int
-		dst.eachLocal(func(off int, dstGlobal []int) {
-			for d := 0; d < nd; d++ {
-				srcGlobal[perm[d]] = dstGlobal[d]
-			}
-			sRank := src.l.OwnerRank(srcGlobal...)
-			if src.l.g.Phys(sRank) == myID {
-				// Local copy path (also covers overlapping groups).
-				soff := src.l.localOffset(srcGlobal, src.localShape)
-				dst.data[off] = src.data[soff]
-				return
-			}
-			pd := want[sRank]
-			if pd == nil {
-				pd = &pending{}
-				want[sRank] = pd
-				srcOrder = append(srcOrder, sRank)
-			}
-			pd.offsets = append(pd.offsets, off)
-		})
+		// walk emits the runs other ranks send; the first walk (copyLocal)
+		// also copies the runs this processor holds on the source side.
+		walk := func(copyLocal bool, emit func(s, off, n int)) {
+			dst.l.eachRun(dst.rank, nil, func(idx []int, off, _, step, n int) {
+				for d := range idx {
+					srcIdx[perm[d]] = idx[d]
+				}
+				for n > 0 {
+					k, ls := sl.span(srcIdx[pl], step, n)
+					s := src.l.owner(srcIdx)
+					if s != src.rank {
+						emit(s, off, k)
+					} else if copyLocal {
+						soff := src.l.localOffset(srcIdx, src.localShape)
+						copyStrided(dst.data[off:off+k], src.data, soff, ls*slocal[pl])
+					}
+					srcIdx[pl] += k * step
+					off += k
+					n -= k
+				}
+			})
+		}
+		counts := make([]int, src.l.g.Size())
+		walk(true, func(s, _, n int) { counts[s] += n })
 		// Receive from senders in ascending source-rank order. Senders are
 		// distinct physical processors, so per-pair FIFO plus identical
-		// enumeration order guarantees the k-th value from a sender is for
-		// the k-th offset recorded for it.
-		for _, s := range sortedInts(srcOrder) {
+		// enumeration order guarantees each stream arrives in the order the
+		// second walk consumes it.
+		streams := make([][]T, len(counts))
+		for s, c := range counts {
+			if c == 0 {
+				continue
+			}
 			vals := recvSlice[T](p, src.l.g.Phys(s))
-			offs := want[s].offsets
-			if len(vals) != len(offs) {
-				panic(fmt.Sprintf("dist: processor %d expected %d elements from rank %d, got %d", myID, len(offs), s, len(vals)))
+			if len(vals) != c {
+				panic(fmt.Sprintf("dist: processor %d expected %d elements from rank %d, got %d", p.ID(), c, s, len(vals)))
 			}
-			for i, off := range offs {
-				dst.data[off] = vals[i]
-			}
+			streams[s] = vals
 		}
+		walk(false, func(s, off, n int) {
+			streams[s] = streams[s][copy(dst.data[off:off+n], streams[s]):]
+		})
 	}
 }
 
+// appendStrided appends the n elements src[off], src[off+stride], ... to buf.
+func appendStrided[T any](buf, src []T, off, stride, n int) []T {
+	if stride == 1 {
+		return append(buf, src[off:off+n]...)
+	}
+	for k := 0; k < n; k++ {
+		buf = append(buf, src[off+k*stride])
+	}
+	return buf
+}
+
+// copyStrided fills dst from src[off], src[off+stride], ...
+func copyStrided[T any](dst, src []T, off, stride int) {
+	if stride == 1 {
+		copy(dst, src[off:off+len(dst)])
+		return
+	}
+	for k := range dst {
+		dst[k] = src[off+k*stride]
+	}
+}
+
+// sendSlice sends *vals to processor dst, charging bytes. The payload is
+// the pointer: boxing a slice in an interface would allocate a header per
+// message, while callers sending many messages point into one slice of
+// headers allocated per call. Neither the header nor the elements may be
+// touched afterwards, because the receiver keeps the slice (see recvSlice).
+func sendSlice[T any](p *machine.Proc, dst int, vals *[]T, bytes int) {
+	p.Send(dst, vals, bytes)
+}
+
+// recvSlice receives the slice a sendSlice from srcPhys carries.
 func recvSlice[T any](p *machine.Proc, srcPhys int) []T {
 	msg := p.Recv(srcPhys)
-	vals, ok := msg.Data.([]T)
+	vals, ok := msg.Data.(*[]T)
 	if !ok {
 		panic(fmt.Sprintf("dist: processor %d expected []%T from %d, got %T", p.ID(), *new(T), srcPhys, msg.Data))
 	}
-	return vals
-}
-
-func sortedInts(xs []int) []int {
-	out := append([]int(nil), xs...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return *vals
 }
 
 // AssignFullGroup is the ablation counterpart of Assign: it performs the
@@ -208,30 +232,31 @@ func GatherGlobal[T any](p *machine.Proc, a *Array[T]) []T {
 	g := a.l.g
 	if a.rank != 0 {
 		if len(a.data) > 0 {
-			p.Send(g.Phys(0), append([]T(nil), a.data...), len(a.data)*comm.ElemBytes[T]())
+			vals := append([]T(nil), a.data...)
+			sendSlice(p, g.Phys(0), &vals, len(vals)*comm.ElemBytes[T]())
 		}
 		return nil
 	}
 	out := make([]T, a.l.Size())
 	strides := rowMajorStrides(a.l.shape)
-	place := func(rank int, vals []T) {
-		off := 0
-		for _, v := range vals {
-			gi := a.l.GlobalOfLocal(rank, off)
-			flat := 0
-			for d, x := range gi {
-				flat += x * strides[d]
+	for r := 0; r < g.Size(); r++ {
+		vals := a.data
+		if r > 0 {
+			if a.l.LocalCount(r) == 0 {
+				continue
 			}
-			out[flat] = v
-			off++
+			vals = recvSlice[T](p, g.Phys(r))
 		}
-	}
-	place(0, a.data)
-	for r := 1; r < g.Size(); r++ {
-		if a.l.LocalCount(r) == 0 {
-			continue
-		}
-		place(r, recvSlice[T](p, g.Phys(r)))
+		a.l.eachRun(r, nil, func(idx []int, off, _, step, n int) {
+			flat := flatOf(idx, strides)
+			if step == 1 {
+				copy(out[flat:flat+n], vals[off:off+n])
+				return
+			}
+			for k := 0; k < n; k++ {
+				out[flat+k*step] = vals[off+k]
+			}
+		})
 	}
 	return out
 }
@@ -248,24 +273,22 @@ func ScatterGlobal[T any](p *machine.Proc, a *Array[T], full []T) {
 			panic(fmt.Sprintf("dist: ScatterGlobal got %d elements for %v", len(full), a.l))
 		}
 		strides := rowMajorStrides(a.l.shape)
-		for r := 0; r < g.Size(); r++ {
+		bufs := make([][]T, g.Size())
+		bufs[0] = a.data
+		for r := range bufs {
 			cnt := a.l.LocalCount(r)
 			if cnt == 0 {
 				continue
 			}
-			vals := make([]T, cnt)
-			for off := 0; off < cnt; off++ {
-				gi := a.l.GlobalOfLocal(r, off)
-				flat := 0
-				for d, x := range gi {
-					flat += x * strides[d]
-				}
-				vals[off] = full[flat]
+			if r > 0 {
+				bufs[r] = make([]T, cnt)
 			}
-			if r == 0 {
-				copy(a.data, vals)
-			} else {
-				p.Send(g.Phys(r), vals, cnt*comm.ElemBytes[T]())
+			vals := bufs[r]
+			a.l.eachRun(r, nil, func(idx []int, off, _, step, n int) {
+				copyStrided(vals[off:off+n], full, flatOf(idx, strides), step)
+			})
+			if r > 0 {
+				sendSlice(p, g.Phys(r), &bufs[r], cnt*comm.ElemBytes[T]())
 			}
 		}
 		return
@@ -283,4 +306,13 @@ func rowMajorStrides(shape []int) []int {
 		s *= shape[i]
 	}
 	return strides
+}
+
+// flatOf returns the row-major offset of idx for the given strides.
+func flatOf(idx, strides []int) int {
+	flat := 0
+	for d, x := range idx {
+		flat += x * strides[d]
+	}
+	return flat
 }

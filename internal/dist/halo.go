@@ -66,10 +66,12 @@ func HaloRows[T any](p *machine.Proc, a *Array[T], h int) (above, below []T) {
 		return buf
 	}
 	if rank > 0 {
-		p.Send(l.g.Phys(rank-1), pack(true), h*w*elem)
+		up := pack(true)
+		sendSlice(p, l.g.Phys(rank-1), &up, h*w*elem)
 	}
 	if rank < size-1 {
-		p.Send(l.g.Phys(rank+1), pack(false), h*w*elem)
+		down := pack(false)
+		sendSlice(p, l.g.Phys(rank+1), &down, h*w*elem)
 	}
 	if rank > 0 {
 		above = recvSlice[T](p, l.g.Phys(rank-1))

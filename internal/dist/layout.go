@@ -160,6 +160,42 @@ func (d dim) globalOf(c, l int) int {
 	}
 }
 
+// segment returns the global stride between consecutive local indices on
+// any grid coordinate and the length of the runs over which that stride
+// holds: one BLOCK_CYCLIC block, or (at least) the whole local extent.
+func (d dim) segment() (step, seg int) {
+	switch d.kind {
+	case Cyclic:
+		return d.q, d.n
+	case BlockCyclic:
+		return 1, d.b
+	default:
+		return 1, d.n
+	}
+}
+
+// span returns how many of the n indices i, i+s, i+2s, ... (s > 0), at
+// least 1, lie on i's owner at local indices that step by ls: the run is cut
+// where the owner changes (or, in BLOCK_CYCLIC, where it leaves i's block).
+func (d dim) span(i, s, n int) (k, ls int) {
+	if d.q == 1 {
+		return n, s // one owner, local index = global index
+	}
+	switch d.kind {
+	case Block:
+		end := ((i+d.off)/d.b+1)*d.b - d.off
+		return min(n, (end-i+s-1)/s), s
+	case Cyclic:
+		if s%d.q == 0 {
+			return n, s / d.q
+		}
+		return 1, 0
+	default: // BlockCyclic
+		end := (i/d.b + 1) * d.b
+		return min(n, (end-i+s-1)/s), s
+	}
+}
+
 // localCount returns how many global indices grid coordinate c owns.
 func (d dim) localCount(c int) int {
 	switch d.kind {
@@ -334,27 +370,20 @@ func (l *Layout) Size() int {
 	return n
 }
 
-// coordsOfRank converts a group rank to grid coordinates (row-major).
-func (l *Layout) coordsOfRank(r int) []int {
-	c := make([]int, len(l.grid))
-	for i := range l.grid {
-		c[i] = (r / l.gridStride[i]) % l.grid[i]
-	}
-	return c
-}
-
-// rankOfCoords converts grid coordinates to a group rank.
-func (l *Layout) rankOfCoords(c []int) int {
-	r := 0
-	for i := range c {
-		r += c[i] * l.gridStride[i]
-	}
-	return r
+// coord returns the grid coordinate of group rank r along dimension d
+// (row-major rank order).
+func (l *Layout) coord(r, d int) int {
+	return (r / l.gridStride[d]) % l.grid[d]
 }
 
 // OwnerRank returns the group rank owning the global index.
 func (l *Layout) OwnerRank(idx ...int) int {
 	l.checkIndex(idx)
+	return l.owner(idx)
+}
+
+// owner is OwnerRank for an index already known to be in range.
+func (l *Layout) owner(idx []int) int {
 	r := 0
 	for i, x := range idx {
 		r += l.dims[i].ownerOf(x) * l.gridStride[i]
@@ -364,10 +393,9 @@ func (l *Layout) OwnerRank(idx ...int) int {
 
 // LocalShape returns the local extents on the given group rank.
 func (l *Layout) LocalShape(rank int) []int {
-	c := l.coordsOfRank(rank)
 	out := make([]int, len(l.dims))
 	for i, d := range l.dims {
-		out[i] = d.localCount(c[i])
+		out[i] = d.localCount(l.coord(rank, i))
 	}
 	return out
 }
@@ -375,14 +403,14 @@ func (l *Layout) LocalShape(rank int) []int {
 // LocalCount returns the number of elements the given group rank owns.
 func (l *Layout) LocalCount(rank int) int {
 	n := 1
-	for _, e := range l.LocalShape(rank) {
-		n *= e
+	for i, d := range l.dims {
+		n *= d.localCount(l.coord(rank, i))
 	}
 	return n
 }
 
-// LocalOf returns the rank-local (row-major) offset of a global index; the
-// caller must ensure the index is owned by that rank.
+// localOffset returns the rank-local (row-major) offset of a global index;
+// the caller must ensure the index is owned by that rank.
 func (l *Layout) localOffset(idx []int, localShape []int) int {
 	off := 0
 	for i, x := range idx {
@@ -392,17 +420,101 @@ func (l *Layout) localOffset(idx []int, localShape []int) int {
 }
 
 // GlobalOfLocal converts a rank-local row-major offset back to a global
-// index for the given rank.
+// index for the given rank, one element at a time. The package's own loops
+// walk indices with eachRun instead; this direct form is the oracle the
+// tests check that walk against.
 func (l *Layout) GlobalOfLocal(rank, offset int) []int {
-	c := l.coordsOfRank(rank)
 	ls := l.LocalShape(rank)
 	idx := make([]int, len(l.dims))
 	for i := len(l.dims) - 1; i >= 0; i-- {
 		li := offset % ls[i]
 		offset /= ls[i]
-		idx[i] = l.dims[i].globalOf(c[i], li)
+		idx[i] = l.dims[i].globalOf(l.coord(rank, i), li)
 	}
 	return idx
+}
+
+// eachRun enumerates the global indices that rank owns as affine runs. It
+// walks the rank's local index box in row-major order over the
+// dimensions listed in order (outermost first; nil lists every dimension in
+// natural order), holding each unlisted dimension at local index 0, and
+// calls visit once per run along the last listed dimension d with
+//
+//   - idx, the global index of the run's first element (the walk owns it
+//     and resets idx[d] before every run; visit must not keep idx or modify
+//     any other entry);
+//   - off, that element's local row-major offset on rank;
+//   - ostride and step, the local offset and global idx[d] strides between
+//     consecutive elements of the run;
+//   - n, the run's length.
+//
+// BLOCK, CYCLIC and collapsed dimensions give one run per position of the
+// outer dimensions; BLOCK_CYCLIC dimensions one run per block. Grid
+// coordinates and local extents are worked out once per call, the walk
+// costs O(runs x rank) index arithmetic and one allocation per call, and a
+// rank that owns nothing produces no runs.
+func (l *Layout) eachRun(rank int, order []int, visit func(idx []int, off, ostride, step, n int)) {
+	nd := len(l.dims)
+	st := make([]int, 6*nd)
+	c, ext, lstride, idx, li := st[:nd], st[nd:2*nd], st[2*nd:3*nd], st[3*nd:4*nd], st[4*nd:5*nd]
+	if order == nil {
+		order = st[5*nd:]
+		for d := range order {
+			order[d] = d
+		}
+	}
+	for d, dm := range l.dims {
+		c[d] = l.coord(rank, d)
+		if ext[d] = dm.localCount(c[d]); ext[d] == 0 {
+			return
+		}
+		idx[d] = dm.globalOf(c[d], 0)
+	}
+	s := 1
+	for d := nd - 1; d >= 0; d-- {
+		lstride[d] = s
+		s *= ext[d]
+	}
+	m := len(order)
+	last := order[m-1]
+	dl, cl, el, ostride := l.dims[last], c[last], ext[last], lstride[last]
+	step, seg := dl.segment()
+	base := 0 // local offset of the current outer position
+	for {
+		for l0 := 0; l0 < el; l0 += seg {
+			idx[last] = dl.globalOf(cl, l0)
+			visit(idx, base+l0*ostride, ostride, step, min(seg, el-l0))
+		}
+		p := m - 2
+		for ; p >= 0; p-- {
+			d := order[p]
+			if li[p]++; li[p] < ext[d] {
+				base += lstride[d]
+				idx[d] = l.dims[d].globalOf(c[d], li[p])
+				break
+			}
+			base -= (ext[d] - 1) * lstride[d]
+			li[p] = 0
+			idx[d] = l.dims[d].globalOf(c[d], 0)
+		}
+		if p < 0 {
+			return
+		}
+	}
+}
+
+// eachIndex visits every global index rank owns, in local row-major order,
+// with its local offset. idx is reused between calls; visit must not modify
+// or keep it.
+func (l *Layout) eachIndex(rank int, visit func(off int, idx []int)) {
+	last := len(l.dims) - 1
+	l.eachRun(rank, nil, func(idx []int, off, _, step, n int) {
+		x0 := idx[last]
+		for k := 0; k < n; k++ {
+			idx[last] = x0 + k*step
+			visit(off+k, idx)
+		}
+	})
 }
 
 func (l *Layout) checkIndex(idx []int) {

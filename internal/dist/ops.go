@@ -20,9 +20,9 @@ import (
 // O(global source size / receivers) per receiver in the worst case; the
 // structured operations below keep sections small where it matters.
 //
-// mapIdx must be deterministic and must not retain its argument slices
-// (they are reused across calls). Participation is minimal: processors
-// owning neither source nor destination return immediately.
+// mapIdx must be deterministic and must not modify srcIdx or retain either
+// slice (they are reused across calls). Participation is minimal:
+// processors owning neither source nor destination return immediately.
 func Remap[T any](p *machine.Proc, dst, src *Array[T], mapIdx func(srcIdx []int, dstIdx []int) bool) {
 	isSender := src.rank >= 0
 	isReceiver := dst.rank >= 0
@@ -30,63 +30,82 @@ func Remap[T any](p *machine.Proc, dst, src *Array[T], mapIdx func(srcIdx []int,
 		return
 	}
 	elemBytes := comm.ElemBytes[T]()
-	myID := p.ID()
-	nd := dst.l.Rank()
-	dstIdx := make([]int, nd)
+	dstIdx := make([]int, dst.l.Rank())
 
 	if isSender {
-		buckets := make(map[int][]T)
+		// Count per destination rank (placing local elements on the way),
+		// then fill exactly-sized buckets in a second enumeration.
+		counts := make([]int, dst.l.g.Size())
 		src.eachLocal(func(off int, srcIdx []int) {
 			if !mapIdx(srcIdx, dstIdx) {
 				return
 			}
-			r := dst.l.OwnerRank(dstIdx...)
-			if dst.l.g.Phys(r) == myID {
+			dst.l.checkIndex(dstIdx)
+			r := dst.l.owner(dstIdx)
+			if r == dst.rank {
 				// Local path: place immediately (the receiver pass below
 				// skips self pairs).
 				dst.data[dst.l.localOffset(dstIdx, dst.localShape)] = src.data[off]
 				return
 			}
-			buckets[r] = append(buckets[r], src.data[off])
+			counts[r]++
 		})
-		for r := 0; r < dst.l.g.Size(); r++ {
-			if vals := buckets[r]; len(vals) > 0 {
-				p.Send(dst.l.g.Phys(r), vals, len(vals)*elemBytes)
+		bufs := make([][]T, len(counts))
+		for r, c := range counts {
+			if c > 0 {
+				bufs[r] = make([]T, 0, c)
+			}
+		}
+		src.eachLocal(func(off int, srcIdx []int) {
+			if mapIdx(srcIdx, dstIdx) {
+				if r := dst.l.owner(dstIdx); r != dst.rank {
+					bufs[r] = append(bufs[r], src.data[off])
+				}
+			}
+		})
+		for r, vals := range bufs {
+			if len(vals) > 0 {
+				sendSlice(p, dst.l.g.Phys(r), &bufs[r], len(vals)*elemBytes)
 			}
 		}
 	}
 
 	if isReceiver && len(dst.data) > 0 {
-		srcIdx := make([]int, src.l.Rank())
+		// runs holds, for one sender, the destination offsets its stream
+		// fills, as (offset, length) pairs of contiguous local storage.
+		var runs []int
 		for s := 0; s < src.l.g.Size(); s++ {
-			if src.l.g.Phys(s) == myID {
+			if s == src.rank {
 				continue // local path handled on the sender side
 			}
-			cnt := src.l.LocalCount(s)
-			if cnt == 0 {
-				continue
-			}
-			// Destination offsets expected from s, in s's enumeration order.
-			var offs []int
-			for off := 0; off < cnt; off++ {
-				gi := src.l.GlobalOfLocal(s, off)
-				copy(srcIdx, gi)
+			runs = runs[:0]
+			total := 0
+			src.l.eachIndex(s, func(_ int, srcIdx []int) {
 				if !mapIdx(srcIdx, dstIdx) {
-					continue
+					return
 				}
-				if dst.l.OwnerRank(dstIdx...) == dst.rank {
-					offs = append(offs, dst.l.localOffset(dstIdx, dst.localShape))
+				dst.l.checkIndex(dstIdx)
+				if dst.l.owner(dstIdx) != dst.rank {
+					return
 				}
-			}
-			if len(offs) == 0 {
+				off := dst.l.localOffset(dstIdx, dst.localShape)
+				if k := len(runs); k > 0 && runs[k-2]+runs[k-1] == off {
+					runs[k-1]++
+				} else {
+					runs = append(runs, off, 1)
+				}
+				total++
+			})
+			if total == 0 {
 				continue
 			}
 			vals := recvSlice[T](p, src.l.g.Phys(s))
-			if len(vals) != len(offs) {
-				panic(fmt.Sprintf("dist: Remap expected %d elements from rank %d, got %d", len(offs), s, len(vals)))
+			if len(vals) != total {
+				panic(fmt.Sprintf("dist: Remap expected %d elements from rank %d, got %d", total, s, len(vals)))
 			}
-			for i, off := range offs {
-				dst.data[off] = vals[i]
+			for i := 0; i < len(runs); i += 2 {
+				off, n := runs[i], runs[i+1]
+				vals = vals[copy(dst.data[off:off+n], vals):]
 			}
 		}
 	}
@@ -100,7 +119,7 @@ func CShift[T any](p *machine.Proc, dst, src *Array[T], axis, shift int) {
 	shift = ((shift % n) + n) % n
 	Remap(p, dst, src, func(srcIdx, dstIdx []int) bool {
 		copy(dstIdx, srcIdx)
-		dstIdx[axis] = ((srcIdx[axis] - shift) % n + n) % n
+		dstIdx[axis] = ((srcIdx[axis]-shift)%n + n) % n
 		return true
 	})
 }
@@ -196,45 +215,40 @@ func ReduceAxis[T any](p *machine.Proc, dst *Array[T], src *Array[T], axis int, 
 		return
 	}
 	elemBytes := comm.ElemBytes[T]()
-	myID := p.ID()
 
-	// reducedOf drops the axis coordinate.
-	reducedOf := func(srcIdx []int, out []int) {
-		dd := 0
-		for d := 0; d < nd; d++ {
-			if d == axis {
-				continue
-			}
-			out[dd] = srcIdx[d]
-			dd++
+	// The partials of source rank s are its owned indices with the axis
+	// dropped: the box of its non-axis local extents, whose row-major order
+	// is the order in which its elements first reach each reduced index.
+	// enumerate walks that box (axis pinned at local index 0) as runs cut
+	// where the destination owner changes, giving for each run its owner
+	// r, its position pos in the box, its destination local offset and
+	// stride when r is this processor's rank (-1 otherwise), and its length.
+	keep := make([]int, 0, nd-1)
+	for d := 0; d < nd; d++ {
+		if d != axis {
+			keep = append(keep, d)
 		}
 	}
-
-	// enumerate produces, for source rank s, the per-destination-rank
-	// sequence of (first-occurrence-ordered) reduced indices. Both sender
-	// and receiver run it, guaranteeing agreement.
-	type partial struct {
-		flat int // flattened reduced index (for dedup)
-		off  int // destination local offset (receiver side)
-	}
-	strides := rowMajorStrides(dst.l.shape)
-	enumerate := func(s int, visit func(flatIdx int, reduced []int)) {
-		cnt := src.l.LocalCount(s)
-		seen := make(map[int]bool)
-		reduced := make([]int, nd-1)
-		for off := 0; off < cnt; off++ {
-			gi := src.l.GlobalOfLocal(s, off)
-			reducedOf(gi, reduced)
-			flat := 0
-			for d, x := range reduced {
-				flat += x * strides[d]
+	reduced := make([]int, nd-1)
+	dl := dst.l.dims[nd-2]
+	enumerate := func(s int, emit func(r, pos, doff, dstride, n int)) {
+		pos := 0
+		src.l.eachRun(s, keep, func(idx []int, _, _, step, n int) {
+			for dd, d := range keep {
+				reduced[dd] = idx[d]
 			}
-			if seen[flat] {
-				continue
+			for n > 0 {
+				k, ls := dl.span(reduced[nd-2], step, n)
+				r, doff := dst.l.owner(reduced), -1
+				if r == dst.rank {
+					doff = dst.l.localOffset(reduced, dst.localShape)
+				}
+				emit(r, pos, doff, ls, k)
+				reduced[nd-2] += k * step
+				pos += k
+				n -= k
 			}
-			seen[flat] = true
-			visit(flat, reduced)
-		}
+		})
 	}
 
 	// seeded tracks, on the receiver, which destination elements have
@@ -243,79 +257,86 @@ func ReduceAxis[T any](p *machine.Proc, dst *Array[T], src *Array[T], axis int, 
 	if isReceiver {
 		seeded = make([]bool, len(dst.data))
 	}
-	combine := func(off int, v T) {
-		if seeded[off] {
-			dst.data[off] = op(dst.data[off], v)
-		} else {
-			dst.data[off] = v
-			seeded[off] = true
+	combine := func(doff, dstride int, vals []T) {
+		for i, v := range vals {
+			off := doff + i*dstride
+			if seeded[off] {
+				dst.data[off] = op(dst.data[off], v)
+			} else {
+				dst.data[off] = v
+				seeded[off] = true
+			}
 		}
 	}
 
-	if isSender {
-		// Compute local partials.
-		partials := make(map[int]T)
-		havePartial := make(map[int]bool)
-		reduced := make([]int, nd-1)
-		src.eachLocal(func(off int, idx []int) {
-			reducedOf(idx, reduced)
-			flat := 0
-			for d, x := range reduced {
-				flat += x * strides[d]
-			}
-			if havePartial[flat] {
-				partials[flat] = op(partials[flat], src.data[off])
-			} else {
-				partials[flat] = src.data[off]
-				havePartial[flat] = true
-			}
-		})
-		// Bucket per destination owner in enumeration order.
-		buckets := make(map[int][]T)
-		enumerate(src.rank, func(flat int, reduced []int) {
-			r := dst.l.OwnerRank(reduced...)
-			if dst.l.g.Phys(r) == myID {
-				return // handled in the receiver combine below
-			}
-			buckets[r] = append(buckets[r], partials[flat])
-		})
-		for r := 0; r < dst.l.g.Size(); r++ {
-			if vals := buckets[r]; len(vals) > 0 {
-				p.Send(dst.l.g.Phys(r), vals, len(vals)*elemBytes)
+	if isSender && len(src.data) > 0 {
+		// Local partials, in box order: each combines its elements along the
+		// axis in local order.
+		ext := src.localShape[axis]
+		inner := 1
+		for d := axis + 1; d < nd; d++ {
+			inner *= src.localShape[d]
+		}
+		outer := len(src.data) / (ext * inner)
+		partials := make([]T, outer*inner)
+		for o := 0; o < outer; o++ {
+			part := partials[o*inner : (o+1)*inner]
+			row := src.data[o*ext*inner:]
+			copy(part, row[:inner])
+			for a := 1; a < ext; a++ {
+				for i, v := range row[a*inner : (a+1)*inner] {
+					part[i] = op(part[i], v)
+				}
 			}
 		}
-		if isReceiver {
-			// Self contributions seed or extend the local combine state.
-			enumerate(src.rank, func(flat int, reduced []int) {
-				if dst.l.OwnerRank(reduced...) != dst.rank {
-					return
-				}
-				combine(dst.l.localOffset(reduced, dst.localShape), partials[flat])
-			})
+		// Bucket per destination owner in enumeration order.
+		counts := make([]int, dst.l.g.Size())
+		enumerate(src.rank, func(r, _, _, _, n int) { counts[r] += n })
+		bufs := make([][]T, len(counts))
+		for r, c := range counts {
+			if c > 0 && r != dst.rank {
+				bufs[r] = make([]T, 0, c)
+			}
+		}
+		enumerate(src.rank, func(r, pos, doff, dstride, n int) {
+			if r == dst.rank {
+				// Self contributions seed or extend the local combine state.
+				combine(doff, dstride, partials[pos:pos+n])
+				return
+			}
+			bufs[r] = append(bufs[r], partials[pos:pos+n]...)
+		})
+		for r, vals := range bufs {
+			if len(vals) > 0 {
+				sendSlice(p, dst.l.g.Phys(r), &bufs[r], len(vals)*elemBytes)
+			}
 		}
 	}
 
 	if isReceiver && len(dst.data) > 0 {
 		for s := 0; s < src.l.g.Size(); s++ {
-			if src.l.g.Phys(s) == myID {
+			if s == src.rank {
 				continue
 			}
-			var offs []int
-			enumerate(s, func(flat int, reduced []int) {
-				if dst.l.OwnerRank(reduced...) == dst.rank {
-					offs = append(offs, dst.l.localOffset(reduced, dst.localShape))
+			cnt := 0
+			enumerate(s, func(r, _, _, _, n int) {
+				if r == dst.rank {
+					cnt += n
 				}
 			})
-			if len(offs) == 0 {
+			if cnt == 0 {
 				continue
 			}
 			vals := recvSlice[T](p, src.l.g.Phys(s))
-			if len(vals) != len(offs) {
-				panic(fmt.Sprintf("dist: ReduceAxis expected %d partials from rank %d, got %d", len(offs), s, len(vals)))
+			if len(vals) != cnt {
+				panic(fmt.Sprintf("dist: ReduceAxis expected %d partials from rank %d, got %d", cnt, s, len(vals)))
 			}
-			for i, off := range offs {
-				combine(off, vals[i])
-			}
+			enumerate(s, func(r, _, doff, dstride, n int) {
+				if r == dst.rank {
+					combine(doff, dstride, vals[:n])
+					vals = vals[n:]
+				}
+			})
 		}
 	}
 }

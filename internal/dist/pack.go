@@ -105,7 +105,7 @@ func PackInto[T any](p *machine.Proc, dst, src *Array[T], dstStart int, keep fun
 				placeLocal(lo, seg)
 			} else {
 				buf := append([]T(nil), seg...)
-				p.Send(dst.l.g.Phys(r), buf, len(buf)*elemBytes)
+				sendSlice(p, dst.l.g.Phys(r), &buf, len(buf)*elemBytes)
 			}
 		}
 	}

@@ -58,7 +58,7 @@ func soakLevel(t *testing.T, p *Proc, seed int64, depth int) {
 			if dst.IsMember() {
 				bad := false
 				for off, v := range dst.Local() {
-					gi := dst.GlobalOfLocal(off)
+					gi := dst.Layout().GlobalOfLocal(dst.Rank(), off)
 					if v != seed^int64(gi[0]*2654435761) {
 						bad = true
 					}

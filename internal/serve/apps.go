@@ -92,11 +92,11 @@ type runOut struct {
 // (app, params, P, mapping) — which is what makes responses cacheable and
 // byte-identical across duplicate requests.
 type appAdapter struct {
-	name   string
-	params string           // canonical parameter rendering (for keys and responses)
-	spec   mapping.TableSpec // the content key model tables memoize under
+	name    string
+	params  string            // canonical parameter rendering (for keys and responses)
+	spec    mapping.TableSpec // the content key model tables memoize under
 	nStages int
-	dpCap  int // data-parallel width cap (min(P, rows the app distributes over))
+	dpCap   int // data-parallel width cap (min(P, rows the app distributes over))
 
 	model      func(opt mapping.BuildOptions) (mapping.Model, mapping.TableSource, error)
 	runChoice  func(eng machine.Engine, fp machine.FaultPlan, c mapping.Choice) runOut
@@ -196,6 +196,14 @@ func resolveApp(app string, p, sets int, quick bool, cost sim.CostModel, replay 
 			cfg = stereo.Config{W: 64, H: 24, Disparities: 8, Window: 2}
 		}
 		cfg.Sets = sets
+		// Every stage spreads the H image rows over up to min(p, H)
+		// processors (the widest data-parallel mapping, and the widest
+		// cell of the cost tables /optimize builds); refuse a p at which
+		// that stage could not run rather than fail the campaign.
+		if q := min(p, cfg.H); !stereo.StageFits(cfg, q) {
+			return nil, fmt.Errorf("stereo at p=%d: %d processors get %d image rows each, fewer than the window of %d the error stage exchanges",
+				p, q, (cfg.H+q-1)/q, cfg.Window)
+		}
 		a := &appAdapter{
 			name:   "stereo",
 			params: fmt.Sprintf("W=%d,H=%d,D=%d,Win=%d,Sets=%d", cfg.W, cfg.H, cfg.Disparities, cfg.Window, cfg.Sets),

@@ -184,8 +184,8 @@ func TestBadRequests(t *testing.T) {
 		body string
 	}{
 		{"/optimize", `{"app":"nope","p":8}`},
-		{"/optimize", `{"app":"ffthist"}`},                             // p < 1
-		{"/optimize", `{"app":"ffthist","p":8,"bogusField":1}`},        // unknown field
+		{"/optimize", `{"app":"ffthist"}`},                      // p < 1
+		{"/optimize", `{"app":"ffthist","p":8,"bogusField":1}`}, // unknown field
 		{"/optimize", `not json`},
 		{"/measure", `{"app":"radar","p":4,"quick":true,"mapping":{"modules":1,"stages":[8,8,8,8]}}`}, // oversubscribed
 		{"/measure", `{"app":"radar","p":8,"quick":true,"mapping":{"modules":1,"stages":[2,2]}}`},     // wrong stage count
@@ -208,6 +208,26 @@ func TestBadRequests(t *testing.T) {
 	}
 	if st := s.Stats(); st.Campaigns != 0 {
 		t.Errorf("bad requests scheduled %d campaigns", st.Campaigns)
+	}
+}
+
+// TestStereoTooWideRefused: a quick stereo request whose p spreads the
+// 24 image rows one per processor, fewer than the error stage's window of
+// 2, is refused at admission on both endpoints, before any campaign runs,
+// instead of failing the campaign with a 500.
+func TestStereoTooWideRefused(t *testing.T) {
+	s, ts := newTestServer(t, serve.Options{Workers: 1})
+	for _, p := range []int{32, 64} {
+		for _, path := range []string{"/optimize", "/measure"} {
+			body := map[string]any{"app": "stereo", "p": p, "sets": 4, "quick": true}
+			code, out := post(t, ts.URL, path, body)
+			if code != http.StatusBadRequest || !strings.Contains(string(out), "window") {
+				t.Errorf("%s stereo p=%d: status %d %s, want 400 naming the window", path, p, code, out)
+			}
+		}
+	}
+	if st := s.Stats(); st.Campaigns != 0 {
+		t.Errorf("refused requests scheduled %d campaigns", st.Campaigns)
 	}
 }
 
